@@ -45,9 +45,8 @@ SGD_ITER_RATIO = {
 NODE_COUNTS = (2, 4, 8, 16)
 
 
-def _choose_aggregation(model_name, catalog, world):
-    """COMPSO-p: run the performance model's aggregation decision on
-    catalog-sized synthetic gradients."""
+def _model_grads(model_name, catalog):
+    """Catalog-sized synthetic gradients for one model."""
     rng = spawn_rng(0, hash(model_name) % 997)
     grads = []
     for l in catalog[:16]:
@@ -55,8 +54,18 @@ def _choose_aggregation(model_name, catalog, world):
         small = rng.standard_normal(n) * 1e-4
         big = rng.standard_normal(n) * np.exp(rng.standard_normal(n)) * 5e-2
         grads.append(np.where(rng.random(n) < 0.12, big, small).astype(np.float32))
+    return grads
+
+
+def _choose_aggregation(grads, chooser, world):
+    """COMPSO-p: run the performance model's aggregation decision.
+
+    Compressed sizes do not depend on world size: with one ``chooser``
+    per model, the performance model measures the model's gradients once
+    and reuses those sizes for every platform and node count.
+    """
     pm = PerformanceModel(PLATFORM1.network, world_size=world)
-    m, _ = pm.choose_aggregation(grads, CompsoCompressor(4e-3, 4e-3), r=0.45)
+    m, _ = pm.choose_aggregation(grads, chooser, r=0.45)
     return m
 
 
@@ -65,6 +74,8 @@ def run_experiment():
     for model, catalog_fn in MODEL_CATALOGS.items():
         catalog = catalog_fn()
         prof = MODEL_TIMING_PROFILES[model]
+        grads = _model_grads(model, catalog)
+        chooser = CompsoCompressor(4e-3, 4e-3)
         for pname, plat in (("P1", PLATFORM1), ("P2", PLATFORM2)):
             for nodes in NODE_COUNTS:
                 m = KfacIterationModel(catalog, plat, nodes, profile=prof)
@@ -77,7 +88,7 @@ def run_experiment():
                         CompressionSpec(RATIOS["compso"], PIPELINES["compso-cuda"], 4)
                     )
                 )
-                m_p = _choose_aggregation(model, catalog, m.world)
+                m_p = _choose_aggregation(grads, chooser, m.world)
                 row.append(
                     m.end_to_end_speedup(
                         CompressionSpec(RATIOS["compso"], PIPELINES["compso-cuda"], m_p)

@@ -20,14 +20,31 @@ Two decisions are driven by the model: the **layer-aggregation factor m**
 (bigger aggregates amortise kernel/encoder overhead but delay the eager
 per-layer pipeline) and the **lossless encoder** (smallest L_c at
 acceptable throughput).
+
+``L_c`` does not depend on world size, so it is measured once per
+gradient set and reused across world sizes and decisions: every
+measurement goes through one module-level cache shared by all
+``PerformanceModel`` instances.  It holds one entry per COMPSO compressor
+(weakly referenced, so it goes when the compressor does), keyed by
+aggregation factor, encoder, ``eb_f``, ``eb_q``, rounding and
+``relative`` (read through an adaptive wrapper's ``inner`` compressor),
+and is dropped when the CRC32 of the gradients' dtype, shape and bytes
+changes.  Stochastic rounding makes sizes draw-dependent: a repeated
+decision on the same gradients with the same compressor reuses the first
+draw, and the compressor's RNG does not advance on a cache hit.  A fresh
+compressor per call measures exactly as an uncached model would.
 """
 
 from __future__ import annotations
 
+import weakref
+import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.compso import CompsoCompressor
 from repro.core.layer_aggregation import LayerAggregator
 from repro.distributed.collectives import allgather_time
 from repro.distributed.network import NetworkSpec
@@ -37,6 +54,56 @@ from repro.gpusim.encoder_perf import ENCODER_PERF
 from repro.gpusim.kernels import PIPELINES, KernelPipeline
 
 __all__ = ["CommLookupTable", "ProfiledStats", "PerformanceModel"]
+
+
+#: Measured compressed sizes: compressor -> (CRC of the gradients,
+#: {(aggregation, *settings): [size of sample 0, sample 1, ...]}).
+_SIZES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _grads_crc(grads: Sequence[np.ndarray]) -> int:
+    crc = 0
+    for g in grads:
+        g = np.ascontiguousarray(g)
+        crc = zlib.crc32(f"{g.dtype.str}{g.shape}".encode(), crc)
+        crc = zlib.crc32(g, crc)
+    return crc
+
+
+def _size_settings(compressor) -> tuple | None:
+    """Every setting that changes COMPSO's compressed bytes; None for other compressors."""
+    base = getattr(compressor, "inner", compressor)
+    if not isinstance(base, CompsoCompressor):
+        return None
+    return (base.encoder_name, base.eb_f, base.eb_q, base.rounding, base.relative)
+
+
+def _compressed_sizes(
+    grads: Sequence[np.ndarray], compressor, aggregation: int, k: int
+) -> list[int]:
+    """Compressed bytes of ``k`` samples of ``grads`` aggregated by ``aggregation``.
+
+    Samples already measured for this compressor, these gradients and
+    these settings are reused; only the missing ones are compressed.
+    Compressors other than COMPSO are measured every time.
+    """
+    settings = _size_settings(compressor)
+    sizes: list[int] = []
+    if settings is not None:
+        crc = _grads_crc(grads)
+        entry = _SIZES.get(compressor)
+        if entry is None or entry[0] != crc:
+            entry = _SIZES[compressor] = (crc, {})
+        sizes = entry[1].setdefault((aggregation, *settings), [])
+    while len(sizes) < k:
+        total = 0
+        for group in LayerAggregator(aggregation).aggregate(list(grads)):
+            if hasattr(compressor, "compress_many") and len(group) > 1:
+                total += compressor.compress_many(group).nbytes
+            else:
+                total += sum(compressor.compress(g).nbytes for g in group)
+        sizes.append(total)
+    return sizes[:k]
 
 
 class CommLookupTable:
@@ -157,22 +224,15 @@ class PerformanceModel:
     ) -> ProfiledStats:
         """Measure L_o/L_c on real gradients; model throughputs via gpusim.
 
-        ``grads`` are one iteration's per-layer gradients; the compressor
-        is invoked ``k`` times (warmup iterations) and sizes averaged —
-        stochastic rounding makes compressed sizes iteration-dependent.
+        ``grads`` are one iteration's per-layer gradients; sizes of ``k``
+        compressions (warmup iterations) are averaged — stochastic
+        rounding makes compressed sizes iteration-dependent.  Samples
+        already measured on these gradients with this compressor are
+        reused (see the module docstring).
         """
         agg = LayerAggregator(aggregation)
         L_o = float(sum(g.nbytes for g in grads))
-        sizes = []
-        for _ in range(k):
-            total_c = 0
-            for group in agg.aggregate(list(grads)):
-                if hasattr(compressor, "compress_many") and len(group) > 1:
-                    total_c += compressor.compress_many(group).nbytes
-                else:
-                    total_c += sum(compressor.compress(g).nbytes for g in group)
-            sizes.append(total_c)
-        L_c = float(np.mean(sizes))
+        L_c = float(np.mean(_compressed_sizes(grads, compressor, aggregation, k)))
         t_comp = sum(
             self.pipeline.compress_time(b, self.device)
             for b in agg.group_bytes([g.size for g in grads])
@@ -219,24 +279,24 @@ class PerformanceModel:
 
         Score = estimated time to compress + communicate + decompress one
         iteration's gradients; returns the winner and per-candidate
-        (compressed_bytes, est_time) for inspection.
+        (compressed_bytes, est_time) for inspection.  The caller's encoder
+        is restored even if a candidate raises.
         """
-        agg = LayerAggregator(aggregation)
         results: dict[str, tuple[float, float]] = {}
         original_encoder = compso.encoder_name
-        group_bytes = agg.group_bytes([g.size for g in grads])
-        for name in candidates:
-            compso.set_encoder(name)
-            L_c = 0
-            for group in agg.aggregate(list(grads)):
-                if hasattr(compso, "compress_many") and len(group) > 1:
-                    L_c += compso.compress_many(group).nbytes
-                else:
-                    L_c += sum(compso.compress(g).nbytes for g in group)
-            perf = ENCODER_PERF[name]
-            t = sum(perf.compress_time(b * 0.3) + perf.decompress_time(b * 0.3) for b in group_bytes)
-            t += self.lookup.time(self.world_size, L_c)
-            results[name] = (float(L_c), float(t))
-        compso.set_encoder(original_encoder)
+        group_bytes = LayerAggregator(aggregation).group_bytes([g.size for g in grads])
+        try:
+            for name in candidates:
+                compso.set_encoder(name)
+                (L_c,) = _compressed_sizes(grads, compso, aggregation, 1)
+                perf = ENCODER_PERF[name]
+                t = sum(
+                    perf.compress_time(b * 0.3) + perf.decompress_time(b * 0.3)
+                    for b in group_bytes
+                )
+                t += self.lookup.time(self.world_size, L_c)
+                results[name] = (float(L_c), float(t))
+        finally:
+            compso.set_encoder(original_encoder)
         best = min(results, key=lambda n: results[n][1])
         return best, results

@@ -89,12 +89,19 @@ class RansEncoder(Encoder):
         pos = 0
         mask = _PROB_SCALE - 1
         out = bytearray(n)
-        for i in range(n):
-            slot = x & mask
-            s = slot2sym[slot]
-            out[i] = s
-            x = f[s] * (x >> _PROB_BITS) + slot - c[s]
-            while x < _RANS_L and pos < len(stream):
-                x = (x << 8) | stream[pos]
-                pos += 1
+        try:
+            for i in range(n):
+                slot = x & mask
+                s = slot2sym[slot]
+                out[i] = s
+                x = f[s] * (x >> _PROB_BITS) + slot - c[s]
+                while x < _RANS_L:
+                    x = (x << 8) | stream[pos]
+                    pos += 1
+        except IndexError:
+            raise EncodeError("ans: stream ends early") from None
+        # Decoding inverts encoding, which started from state _RANS_L: a
+        # valid frame ends there with every stream byte consumed.
+        if pos != len(stream) or x != _RANS_L:
+            raise EncodeError("ans: corrupt stream (bad final state)")
         return bytes(out)

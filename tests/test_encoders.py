@@ -94,6 +94,56 @@ class TestAnsInternals:
             quantize_freqs(np.zeros(256, dtype=np.int64))
 
 
+class TestAnsCorruptFrames:
+    """A damaged rANS frame decodes to the original bytes or raises EncodeError."""
+
+    @pytest.fixture
+    def frame(self, byte_payloads):
+        data = byte_payloads["skewed"][:3000]
+        blob = RansEncoder().encode(data)
+        assert blob[0] == 1  # a coded frame, not the raw fallback
+        return data, blob
+
+    @staticmethod
+    def _decodes_right_or_rejects(blob, data):
+        try:
+            out = RansEncoder().decode(blob)
+        except EncodeError:
+            return True
+        return out == data
+
+    def test_truncations(self, frame):
+        data, blob = frame
+        cuts = list(range(0, len(blob), 23)) + list(range(len(blob) - 8, len(blob)))
+        bad = [c for c in cuts if not self._decodes_right_or_rejects(blob[:c], data)]
+        assert bad == []
+
+    def test_bit_flips(self, frame, rng):
+        data, blob = frame
+        flips = [(int(p), int(b)) for p, b in zip(rng.integers(0, len(blob), 120), rng.integers(0, 8, 120))]
+        flips += [(len(blob) - 1, b) for b in range(8)]  # the last stream byte
+        bad = []
+        for pos, bit in flips:
+            mutated = bytearray(blob)
+            mutated[pos] ^= 1 << bit
+            if not self._decodes_right_or_rejects(bytes(mutated), data):
+                bad.append((pos, bit))
+        assert bad == []
+
+    def test_last_byte_dropped_or_appended_rejected(self, frame):
+        _, blob = frame
+        for damaged in (blob[:-1], blob + b"\x00"):
+            with pytest.raises(EncodeError):
+                RansEncoder().decode(damaged)
+
+    def test_declared_length_changed_rejected(self, frame):
+        _, blob = frame
+        n = int.from_bytes(blob[1:5], "little")
+        for forged in (n - 1, n + 1, 2 * n):
+            with pytest.raises(EncodeError):
+                RansEncoder().decode(blob[:1] + forged.to_bytes(4, "little") + blob[5:])
+
+
 class TestHuffmanInternals:
     def test_code_lengths_kraft_inequality(self, rng):
         freq = rng.integers(0, 500, 256)

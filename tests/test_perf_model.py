@@ -1,9 +1,13 @@
 """Performance model (Eq. 5): lookup table, speedup math, decisions."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.core import CompsoCompressor, PerformanceModel
+from repro.core import AdaptiveCompso, CompsoCompressor, PerformanceModel, StepLrSchedule
+from repro.core import perf_model
 from repro.core.perf_model import CommLookupTable, ProfiledStats
 from repro.distributed import SLINGSHOT10, SLINGSHOT11
 
@@ -104,3 +108,132 @@ class TestProfiling:
         s10 = pm10.comm_speedup(pm10.profile(grads, c, r=0.4))
         s11 = pm11.comm_speedup(pm11.profile(grads, c, r=0.4))
         assert s10 >= s11 * 0.95  # at worst comparable; typically larger
+
+
+class _Counting:
+    """Counts aggregated compressions (one per sample at m >= len(grads))."""
+
+    many = 0
+
+    def compress_many(self, tensors):
+        self.many += 1
+        return super().compress_many(tensors)
+
+
+class CountingCompso(_Counting, CompsoCompressor):
+    pass
+
+
+class CountingAdaptive(_Counting, AdaptiveCompso):
+    pass
+
+
+@pytest.fixture
+def small_grads(rng):
+    return [
+        (rng.standard_normal(s) * np.exp(rng.standard_normal(s))).astype(np.float32) * 1e-3
+        for s in (6_000, 2_000, 9_000, 500)
+    ]
+
+
+class TestSizeCache:
+    """L_c is measured once per gradient set and reused across decisions."""
+
+    def test_cached_decisions_equal_uncached_with_fresh_compressors(
+        self, small_grads, monkeypatch
+    ):
+        def decide():
+            pm16 = PerformanceModel(SLINGSHOT10, world_size=16)
+            pm64 = PerformanceModel(SLINGSHOT10, world_size=64)
+            fresh = lambda: CompsoCompressor(4e-3, 4e-3, seed=3)  # noqa: E731
+            return (
+                pm16.choose_aggregation(small_grads, fresh(), r=0.45),
+                pm64.choose_aggregation(small_grads, fresh(), r=0.45),
+                pm64.choose_encoder(small_grads, fresh(), candidates=("ans", "zstd")),
+                pm64.profile(small_grads, fresh(), r=0.45, aggregation=2, k=3),
+            )
+
+        cached = decide()
+        monkeypatch.setattr(perf_model, "_size_settings", lambda compressor: None)
+        assert decide() == cached
+
+    def test_in_place_mutation_misses(self, small_grads):
+        pm = PerformanceModel(SLINGSHOT10, world_size=64)
+        c = CountingCompso(4e-3, 4e-3)
+        pm.profile(small_grads, c, r=0.4, aggregation=4, k=1)
+        pm.profile(small_grads, c, r=0.4, aggregation=4, k=1)
+        assert c.many == 1
+        small_grads[1][7] += 1.0
+        pm.profile(small_grads, c, r=0.4, aggregation=4, k=1)
+        assert c.many == 2
+
+    @pytest.mark.parametrize(
+        "make, change",
+        [
+            (lambda: CountingCompso(4e-3, 4e-3), lambda c: c.set_bounds(2e-3, 4e-3)),
+            (lambda: CountingCompso(4e-3, 4e-3), lambda c: c.set_encoder("zstd")),
+            (lambda: CountingAdaptive(StepLrSchedule(first_lr_drop=1)), lambda c: c.step()),
+        ],
+        ids=["set_bounds", "set_encoder", "adaptive_step"],
+    )
+    def test_setting_change_misses(self, small_grads, make, change):
+        pm = PerformanceModel(SLINGSHOT10, world_size=64)
+        c = make()
+        pm.profile(small_grads, c, r=0.4, aggregation=4, k=1)
+        change(c)
+        pm.profile(small_grads, c, r=0.4, aggregation=4, k=1)
+        assert c.many == 2
+
+    def test_ans_candidate_reuses_aggregation_measurement(self, small_grads):
+        c = CountingCompso(4e-3, 4e-3)
+        PerformanceModel(SLINGSHOT10, world_size=16).choose_aggregation(
+            small_grads, c, r=0.4, candidates=(4,)
+        )
+        pm64 = PerformanceModel(SLINGSHOT10, world_size=64)
+        pm64.choose_aggregation(small_grads, c, r=0.4, candidates=(4,))
+        assert c.many == 1  # shared across PerformanceModel instances
+        _, results = pm64.choose_encoder(
+            small_grads, c, candidates=("ans", "zstd"), aggregation=4
+        )
+        assert c.many == 2  # only zstd was compressed
+        assert results["ans"][0] == pm64.profile(small_grads, c, r=0.4, aggregation=4, k=1).L_c
+
+    def test_profile_compresses_only_missing_samples(self, small_grads):
+        pm = PerformanceModel(SLINGSHOT10, world_size=64)
+        c = CountingCompso(4e-3, 4e-3)
+        pm.profile(small_grads, c, r=0.4, aggregation=4, k=1)
+        pm.profile(small_grads, c, r=0.4, aggregation=4, k=3)
+        assert c.many == 3
+
+    def test_hit_leaves_rng_untouched(self, small_grads):
+        pm = PerformanceModel(SLINGSHOT10, world_size=64)
+        c = CompsoCompressor(4e-3, 4e-3)
+        pm.choose_aggregation(small_grads, c, r=0.4)
+        state = c._rng.bit_generator.state
+        pm.choose_aggregation(small_grads, c, r=0.4)
+        assert c._rng.bit_generator.state == state
+
+    def test_entry_dropped_with_compressor(self, small_grads):
+        gc.collect()
+        before = len(perf_model._SIZES)
+        c = CompsoCompressor(4e-3, 4e-3)
+        PerformanceModel(SLINGSHOT10, world_size=64).profile(small_grads, c, r=0.4, k=1)
+        assert len(perf_model._SIZES) == before + 1
+        ref = weakref.ref(c)
+        del c
+        gc.collect()
+        assert ref() is None
+        assert len(perf_model._SIZES) == before
+
+    def test_choose_encoder_restores_encoder_when_a_candidate_raises(self, small_grads):
+        class FailsOnZstd(CompsoCompressor):
+            def compress_many(self, tensors):
+                if self.encoder_name == "zstd":
+                    raise RuntimeError("zstd unavailable")
+                return super().compress_many(tensors)
+
+        c = FailsOnZstd(4e-3, 4e-3)
+        pm = PerformanceModel(SLINGSHOT10, world_size=64)
+        with pytest.raises(RuntimeError):
+            pm.choose_encoder(small_grads, c, candidates=("ans", "zstd"), aggregation=4)
+        assert c.encoder_name == "ans"
